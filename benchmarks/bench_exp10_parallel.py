@@ -42,10 +42,9 @@ from conftest import bench_seed
 
 from repro.bench import best_of, format_table, standalone_main
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.plans import PARALLEL_OPERATORS, uses_parallelism, walk_physical
-from repro.service.prepared import prepare_plan
+from repro.service.prepared import execute_plan, prepare_plan
 from repro.session import Session
 from repro.workloads import (
     contains_only_query,

@@ -45,8 +45,8 @@ from repro.bench import best_of, format_table, standalone_main
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import INT, STRING
-from repro.physical.executor import execute_plan
 from repro.physical.profile import PlanProfile, estimated_vs_actual
+from repro.service.prepared import execute_plan
 
 #: the histogram-driven plan must run at least this many times faster
 MIN_SPEEDUP = 2.0

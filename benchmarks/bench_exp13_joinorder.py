@@ -48,7 +48,7 @@ from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import STRING
 from repro.optimizer.search import OptimizerOptions
-from repro.physical.executor import execute_plan
+from repro.service.prepared import execute_plan
 from repro.service.service import QueryService
 from repro.session import Session
 
@@ -161,10 +161,12 @@ def run_cases(quick: bool = False) -> list[dict]:
     stale_result = service.execute(QUERY)  # profiled, detects divergence
     stale_work = _work_reads(stale_result.work)
 
+    reoptimized = service.registry.counter("repro_plans_reoptimized_total")
+    evictions = service.registry.counter("repro_feedback_evictions_total")
     replanned_result = None
     for _ in range(3):  # the eviction lands on the next lookup
         candidate = service.execute(QUERY)
-        if service.metrics.snapshot()["plans_reoptimized"] >= 1:
+        if reoptimized.value >= 1:
             replanned_result = candidate
             break
     assert replanned_result is not None, \
@@ -172,7 +174,6 @@ def run_cases(quick: bool = False) -> list[dict]:
     assert replanned_result.value_set() == stale_result.value_set(), \
         "feedback replanning changed the result set"
     replanned_work = _work_reads(replanned_result.work)
-    snapshot = service.metrics.snapshot()
 
     return [
         {"case": "parse-order", "orders": n_orders,
@@ -188,8 +189,8 @@ def run_cases(quick: bool = False) -> list[dict]:
          "work_reads": round(stale_work, 1)},
         {"case": "feedback-replanned", "rows": len(replanned_result.rows),
          "work_reads": round(replanned_work, 1),
-         "plans_reoptimized": snapshot["plans_reoptimized"],
-         "feedback_evictions": snapshot["feedback_evictions"],
+         "plans_reoptimized": int(reoptimized.value),
+         "feedback_evictions": int(evictions.value),
          "corrections": service_db.stats_catalog.correction_count()},
     ]
 

@@ -23,9 +23,9 @@ from repro.algebra.normalize import normalize
 from repro.algebra.operators import operator_size
 from repro.bench import format_table, standalone_main
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.naive import naive_implementation
 from repro.physical.restricted_exec import execute_restricted
+from repro.service.prepared import execute_plan
 from repro.workloads import document_workload
 
 #: queries whose ACCESS clause the restricted normalizer supports

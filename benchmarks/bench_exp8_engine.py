@@ -2,8 +2,9 @@
 
 The seed executor interpreted physical plans: every operator materialized
 its input into a list and ``evaluate()`` re-walked the expression tree per
-row.  The production engine (:mod:`repro.physical.executor`) compiles every
-expression once per plan and streams rows through generator operators.
+row.  The production engine (:func:`repro.service.prepared.execute_plan`)
+compiles every expression once per plan and streams rows through generator
+operators; the timed runs include that compilation.
 This experiment executes *identical physical plans* under both engines on
 the exp1/exp2/exp5 workloads and reports the wall-clock speedup; the
 logical work counters are engine-independent, so any difference is pure
@@ -29,9 +30,9 @@ import sys
 from conftest import DEFAULT_SIZE, SCALING_SIZES, semantic_session
 from repro.bench import best_of as _best_of
 from repro.bench import format_table, standalone_main
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
+from repro.service.prepared import execute_plan
 from repro.workloads import motivating_query, same_document_join_query
 
 #: the exp2 acceptance threshold: compiled must be at least this much faster

@@ -9,7 +9,8 @@ The package provides:
 * a Volcano-style rule- and cost-based optimizer with schema-specific
   semantic rules derived from knowledge about methods
   (:mod:`repro.optimizer`),
-* a physical algebra and executor (:mod:`repro.physical`),
+* a physical algebra with a reference interpreter (:mod:`repro.physical`)
+  and the compiled production engine (:mod:`repro.service.prepared`),
 * pluggable durable storage — write-ahead log, checkpoints, crash
   recovery (:mod:`repro.storage`, ``connect(durability="wal")``),
 * ready-made workloads reproducing the paper's example schema
@@ -36,7 +37,7 @@ from repro.api.connection import Connection, Cursor, connect
 from repro.api.router import StatementResult
 from repro.storage import FileStorageAdapter, MemoryAdapter, StorageAdapter
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "connect",

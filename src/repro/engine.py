@@ -100,13 +100,7 @@ def run_query(database: Database, query: str,
         statement API: open a :func:`repro.connect` connection once and use
         ``Connection.execute`` — the connection owns the knowledge and
         plan cache, so per-call configuration cannot drift.  ``run_query``
-        is retained as a compatibility wrapper over the same router.  As
-        of 1.3 the same applies to the per-kind index-DDL aliases
-        (``QueryService.create_hash_index`` and friends), which emit
-        :class:`DeprecationWarning`; the supported paths are
-        ``create_index(..., kind=...)``/``drop_index`` and the
-        ``CREATE/DROP [HASH|SORTED|TEXT] INDEX`` statements (see the
-        README's public API table).
+        is retained as a compatibility wrapper over the same router.
     """
     service = _service_for(database, knowledge)
     # The caller may have add()ed to the knowledge object since the service

@@ -1,8 +1,12 @@
-"""Physical algebra and execution engine."""
+"""Physical algebra and the reference execution engine.
+
+The production engine that runs these plans lives in
+:mod:`repro.service.prepared` (:func:`~repro.service.prepared.prepare_plan`
+and :func:`~repro.service.prepared.execute_plan`).
+"""
 
 from repro.physical.evaluator import evaluate, evaluate_predicate, make_hashable
 from repro.physical.compiler import CompiledExpr, ExpressionCompiler
-from repro.physical.executor import Row, execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.plans import (
     ClassScan,
@@ -18,6 +22,7 @@ from repro.physical.plans import (
     NestedLoopJoin,
     PhysicalOperator,
     ProjectOp,
+    Row,
     SetProbeFilter,
     UnionOp,
     walk_physical,
@@ -35,7 +40,6 @@ __all__ = [
     "evaluate_predicate",
     "make_hashable",
     "Row",
-    "execute_plan",
     "execute_plan_interpreted",
     "CompiledExpr",
     "ExpressionCompiler",

@@ -85,20 +85,19 @@ class ExpressionCompiler:
     """Compiles expressions into closures bound to one database.
 
     ``parameter_resolver`` supplies bind-parameter values at evaluation time
-    (``key -> value``); the service layer passes a thread-local binding
+    (``key -> value``); the prepared engine passes a thread-local binding
     environment so that one compiled plan can serve many concurrent
-    executions with different bindings.  Without a resolver, evaluating a
-    :class:`~repro.algebra.expressions.Parameter` raises, exactly like the
-    interpreter does on an unbound plan.
+    executions with different bindings.  The resolver raises for a key that
+    has no bound value, like the interpreter does on an unbound plan.
     """
 
     def __init__(self, database: Database,
-                 parameter_resolver: Callable[[str], Any] | None = None,
+                 parameter_resolver: Callable[[str], Any],
                  profile=None):
         self._database = database
         self._parameter_resolver = parameter_resolver
-        #: optional :class:`repro.physical.profile.PlanProfile` the engines
-        #: thread to their operator builders (the compiler itself never
+        #: optional :class:`repro.physical.profile.PlanProfile` the engine
+        #: threads to its operator builders (the compiler itself never
         #: consults it; it rides here because one compiler instance spans
         #: exactly one plan build, the granularity profiling needs)
         self.profile = profile
@@ -205,13 +204,6 @@ class ExpressionCompiler:
     def _compile_parameter(self, expression: Parameter) -> CompiledExpr:
         resolver = self._parameter_resolver
         key = expression.key
-        if resolver is None:
-            message = f"bind parameter {expression} has no bound value"
-
-            def unbound(row: Mapping[str, Any]) -> Any:
-                raise ExecutionError(message)
-
-            return unbound
         return lambda row: resolver(key)
 
     def _compile_property(self, expression: PropertyAccess) -> CompiledExpr:

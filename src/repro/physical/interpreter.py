@@ -6,19 +6,21 @@ evaluated by the recursive tree-walking :mod:`repro.physical.evaluator`.
 
 It is retained for two purposes:
 
-* as the *semantic reference* the compiled pipelined engine in
-  :mod:`repro.physical.executor` is differentially tested against
-  (``tests/test_property_based.py``), and
+* as the *semantic reference* the production engine in
+  :mod:`repro.service.prepared` is differentially tested against
+  (``tests/test_property_based.py``, ``tests/test_fuzz_differential.py``),
+  and
 * as the baseline of the engine benchmark
   (``benchmarks/bench_exp8_engine.py``), which quantifies what compilation
   and pipelining buy on identical physical plans.
 
-Production code should use :func:`repro.physical.executor.execute_plan`;
-both entry points implement exactly the same list-of-Row contract with set
-semantics (duplicate elimination at projections, unions and set scans).
+Production code should use :func:`repro.service.prepared.execute_plan` (or
+:func:`~repro.service.prepared.prepare_plan` for repeated runs); both
+engines implement exactly the same list-of-Row contract with set semantics
+(duplicate elimination at projections, unions and set scans).
 
 The helpers ``_iterate_set``, ``_distinct`` and ``_require_index`` are
-imported by the compiled engine and the restricted executor so that the
+imported by the production engine and the restricted executor so that the
 set-coercion and index-lookup semantics are defined in exactly one place.
 """
 
@@ -55,14 +57,13 @@ from repro.physical.plans import (
     ParallelScan,
     PhysicalOperator,
     ProjectOp,
+    Row,
     SetProbeFilter,
     UnionOp,
 )
 from repro.telemetry.spans import child_span
 
-__all__ = ["execute_plan_interpreted", "Row"]
-
-Row = dict[str, Any]
+__all__ = ["execute_plan_interpreted"]
 
 
 def execute_plan_interpreted(plan: PhysicalOperator,

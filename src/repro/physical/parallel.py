@@ -10,7 +10,7 @@ run, and the same multiset of rows as its sequential counterpart.
 Scheduling notes:
 
 * Worker pools are shared per degree and live for the process; threads are
-  created lazily by the executor.
+  created lazily by the pool.
 * A task submitted from *inside* a worker thread (a method implementation
   that re-enters the service and executes another parallel plan) is run
   inline instead — submitting would risk exhausting the pool with tasks
@@ -37,12 +37,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro.physical.evaluator import make_hashable
+from repro.physical.plans import Row
 from repro.telemetry.spans import child_span
 
 __all__ = ["DEFAULT_MORSEL_SIZE", "MAX_WORKERS", "default_parallelism",
            "make_morsels", "process_morsels", "worker_pool",
            "run_filter_morsels", "run_map_morsels", "run_key_morsels",
-           "merge_hash_join"]
+           "merge_hash_join", "WorkerWrap"]
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -143,18 +144,16 @@ def process_morsels(morsels: Sequence[Sequence[Item]],
 
 
 # ----------------------------------------------------------------------
-# shared operator bodies (used by the compiled executor and the prepared
-# executables; `wrap` lets the prepared engine re-push thread-local
-# bindings inside each worker)
+# parallel operator bodies (``wrap`` re-establishes the coordinating
+# thread's bind parameters and snapshot pin inside each worker)
 # ----------------------------------------------------------------------
-Row = dict[str, Any]
 WorkerWrap = Callable[[Callable[[list], list]], Callable[[list], list]]
 
 
 def run_filter_morsels(oid_batches: Sequence[Sequence[Any]],
                        predicate: Optional[Callable[[Row], bool]],
                        ref: str, degree: int,
-                       wrap: Optional[WorkerWrap] = None) -> list[Row]:
+                       wrap: WorkerWrap) -> list[Row]:
     """Emit ``{ref: oid}`` rows for the OIDs passing *predicate*, evaluated
     over morsels in parallel; batch (partition) order is preserved."""
     morsels: list[list[Any]] = []
@@ -169,29 +168,29 @@ def run_filter_morsels(oid_batches: Sequence[Sequence[Any]],
             rows = ({ref: oid} for oid in morsel)
             return [row for row in rows if predicate(row)]
 
-    return process_morsels(morsels, wrap(work) if wrap else work, degree)
+    return process_morsels(morsels, wrap(work), degree)
 
 
 def run_map_morsels(rows: Sequence[Row], expression: Callable[[Row], Any],
                     ref: str, degree: int,
-                    wrap: Optional[WorkerWrap] = None) -> list[Row]:
+                    wrap: WorkerWrap) -> list[Row]:
     """Extend every row with ``ref = expression(row)``, in input order."""
     def work(morsel):
         return [{**row, ref: expression(row)} for row in morsel]
 
     return process_morsels(make_morsels(rows, degree),
-                           wrap(work) if wrap else work, degree)
+                           wrap(work), degree)
 
 
 def run_key_morsels(rows: Sequence[Row], key: Callable[[Row], Any],
                     degree: int,
-                    wrap: Optional[WorkerWrap] = None) -> list[Any]:
+                    wrap: WorkerWrap) -> list[Any]:
     """Hashable join keys for *rows*, evaluated in parallel, in row order."""
     def work(morsel):
         return [make_hashable(key(row)) for row in morsel]
 
     return process_morsels(make_morsels(rows, degree),
-                           wrap(work) if wrap else work, degree)
+                           wrap(work), degree)
 
 
 def merge_hash_join(left_rows: Sequence[Row], left_keys: Sequence[Any],

@@ -2,8 +2,9 @@
 
 Physical operators correspond to concrete algorithms with cost functions,
 exactly as in the Volcano optimizer generator.  Implementation rules map
-logical operators onto these nodes; the executor
-(:mod:`repro.physical.executor`) interprets them against a database.
+logical operators onto these nodes; the reference interpreter
+(:mod:`repro.physical.interpreter`) and the production engine
+(:mod:`repro.service.prepared`) execute them against a database.
 
 The physically interesting nodes for the paper's experiments are:
 
@@ -27,6 +28,7 @@ from repro.algebra.expressions import Expression, cached_hash, free_vars
 from repro.errors import AlgebraError
 
 __all__ = [
+    "Row",
     "PhysicalOperator",
     "ClassScan",
     "IndexEqScan",
@@ -53,6 +55,9 @@ __all__ = [
     "describe_physical_tree",
     "uses_parallelism",
 ]
+
+#: one result tuple: references mapped to their values
+Row = dict[str, Any]
 
 
 class PhysicalOperator:

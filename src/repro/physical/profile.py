@@ -5,16 +5,16 @@ execution, how often the operator was opened, how many rows it produced,
 and how much wall-clock time was spent pulling those rows (*inclusive* of
 the operator's children, the conventional EXPLAIN ANALYZE accounting).
 
-All three execution engines thread an optional profile through their
-operator builders:
+Both execution engines thread an optional profile through their operator
+builders:
 
-* the compiled executor (:func:`repro.physical.executor.execute_plan`),
-* the prepared executables (:class:`repro.service.prepared.
-  PreparedExecutable`), and
+* the production engine (:class:`repro.service.prepared.
+  PreparedExecutable`, also behind :func:`repro.service.prepared.
+  execute_plan`), and
 * the reference interpreter (:func:`repro.physical.interpreter.
   execute_plan_interpreted`),
 
-so estimated-vs-actual reports can be produced for any plan on any engine.
+so estimated-vs-actual reports can be produced for any plan on either engine.
 :func:`render_explain_analyze` renders the plan tree with the cost model's
 estimates next to the measured counters; :func:`estimated_vs_actual`
 returns the same comparison as structured records (the differential fuzz

@@ -40,8 +40,8 @@ from repro.datamodel.database import Database
 from repro.datamodel.oid import OID
 from repro.errors import ExecutionError
 from repro.physical.evaluator import evaluate, make_hashable
-from repro.physical.executor import Row
 from repro.physical.interpreter import _distinct, _iterate_set
+from repro.physical.plans import Row
 
 __all__ = ["execute_restricted"]
 

@@ -1,11 +1,11 @@
-"""Compile-once, execute-many physical plans.
+"""The production execution engine: compile-once, execute-many plans.
 
-:func:`repro.physical.executor.execute_plan` compiles every expression of a
-plan on each call — fine for one-shot queries, wasted work for a plan served
-from a cache thousands of times.  :func:`prepare_plan` hoists that work: the
-plan is translated *once* into a tree of generator factories whose
-expressions are already compiled closures, and each :meth:`PreparedExecutable.
-run` call only instantiates fresh iterators.
+:func:`prepare_plan` translates a physical plan *once* into a tree of
+generator factories whose expressions are already compiled closures (see
+:mod:`repro.physical.compiler`); each :meth:`PreparedExecutable.run` call
+only instantiates fresh, pipelined (Volcano-style) iterators, so a plan
+served from a cache thousands of times is compiled once.  The one-shot
+entry point :func:`execute_plan` prepares and runs a plan in one call.
 
 Bind parameters compile into reads from a :class:`BindingEnv`, a
 thread-local cell the executable fills for the duration of one ``run`` —
@@ -16,9 +16,11 @@ time, so a prepared plan stays correct across data changes; only DDL
 (dropping an index a plan scans) can break it, which the plan cache's
 version counters guard against.
 
-Row order, duplicate handling and work counters match the one-shot engines
-exactly — the differential tests in ``tests/test_service.py`` hold this
-executor to the same results as a fresh session.
+Rows are mappings from references to values with the algebra's set
+semantics: duplicate elimination happens at projections, unions and set
+scans.  Row order, duplicate handling and work counters match the reference
+interpreter (:mod:`repro.physical.interpreter`) exactly — the differential
+tests hold this engine to the interpreter's results.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from repro.datamodel.versioning import current_pin
 from repro.errors import ExecutionError
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import EMPTY_ROW, make_hashable
-from repro.physical.executor import Row
 from repro.physical.interpreter import _iterate_set, _require_index
 from repro.physical.parallel import (
+    WorkerWrap,
     merge_hash_join,
     run_filter_morsels,
     run_key_morsels,
@@ -62,12 +64,13 @@ from repro.physical.plans import (
     ParallelScan,
     PhysicalOperator,
     ProjectOp,
+    Row,
     SetProbeFilter,
     UnionOp,
 )
 from repro.telemetry.spans import child_span
 
-__all__ = ["BindingEnv", "PreparedExecutable", "prepare_plan"]
+__all__ = ["BindingEnv", "PreparedExecutable", "execute_plan", "prepare_plan"]
 
 #: a generator factory: each call opens a fresh row iterator
 Source = Callable[[], Iterator[Row]]
@@ -176,6 +179,21 @@ def prepare_plan(plan: PhysicalOperator, database: Database,
     execution of a plan for estimate/actual divergence.
     """
     return PreparedExecutable(plan, database, profile=profile)
+
+
+def execute_plan(plan: PhysicalOperator, database: Database,
+                 profile=None) -> list[Row]:
+    """Compile and run *plan* once against *database*; return the rows.
+
+    *profile* (a :class:`repro.physical.profile.PlanProfile`) enables
+    per-operator row/open/elapsed instrumentation — the EXPLAIN ANALYZE
+    counters.  Work counters and results are unaffected by profiling.
+    """
+    with child_span("execute", engine="compiled") as span:
+        rows = prepare_plan(plan, database, profile).run()
+        if span is not None:
+            span.annotate(rows=len(rows))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +306,7 @@ def _set_probe_filter(plan: SetProbeFilter, database: Database,
 
     def run() -> Iterator[Row]:
         # The probe set depends on database state (and possibly parameters):
-        # build it per execution, exactly like the one-shot engines.
+        # build it per execution, exactly like the reference interpreter.
         members = {make_hashable(v)
                    for v in _iterate_set(value_fn(EMPTY_ROW), plan)}
         for row in source():
@@ -470,13 +488,12 @@ def _diff(plan: DiffOp, database: Database,
 
 
 # ----------------------------------------------------------------------
-# parallel operators: the operator bodies are shared with the compiled
-# executor (repro.physical.parallel); the prepared engine additionally
-# captures the run thread's bindings and re-pushes them inside every
-# worker, so compiled Parameter closures resolve correctly off-thread
+# parallel operators: the operator bodies live in repro.physical.parallel;
+# the builders capture the run thread's bindings and snapshot pin and
+# re-establish them inside every worker, so compiled Parameter closures
+# and versioned reads resolve correctly off-thread
 # ----------------------------------------------------------------------
-def _bound_worker(env: BindingEnv
-                  ) -> Callable[[Callable[[list], list]], Callable[[list], list]]:
+def _bound_worker(env: BindingEnv) -> WorkerWrap:
     """A worker wrapper propagating the submitting thread's bindings and
     snapshot pin, so every morsel observes the same snapshot (and resolves
     the same parameters) as the coordinating statement."""

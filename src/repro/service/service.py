@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -49,11 +48,10 @@ from repro.algebra.translate import translate_query
 from repro.optimizer.generator import OptimizerGenerator
 from repro.optimizer.knowledge import SchemaKnowledge
 from repro.optimizer.search import OptimizationResult, OptimizerOptions
-from repro.physical.executor import Row
 from repro.physical.naive import naive_implementation
 from repro.physical.parallel import default_parallelism
 from repro.physical.plans import (Filter, HashJoin, IndexNestedLoopJoin,
-                                  describe_physical_tree)
+                                  Row, describe_physical_tree)
 from repro.physical.profile import (ExplainReport, PlanProfile,
                                     divergent_operators, estimated_vs_actual,
                                     profile_summary, render_explain_analyze)
@@ -71,20 +69,6 @@ from repro.vql.bindings import ParameterValues, resolve_bindings
 
 __all__ = ["PreparedQuery", "QueryMetrics", "QueryService",
            "ServiceMetrics", "ServiceResult"]
-
-
-def _warn_legacy_index_ddl(alias: str, replacement: str) -> None:
-    """One deprecation warning per legacy per-kind index-DDL alias call.
-
-    The supported paths are the generic ``create_index``/``drop_index``
-    methods (or the VQL statements ``CREATE [HASH|SORTED|TEXT] INDEX`` /
-    ``DROP [TEXT] INDEX`` through any statement entry point); the per-kind
-    aliases survive one more release for source compatibility.
-    """
-    warnings.warn(
-        f"QueryService.{alias} is deprecated; use QueryService.{replacement} "
-        "or the CREATE/DROP INDEX statements instead",
-        DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -124,15 +108,10 @@ class QueryMetrics:
 
 
 class ServiceMetrics:
-    """Aggregated service counters (thread-safe).
-
-    .. deprecated:: since the telemetry subsystem this class is a *facade*
-       over a :class:`repro.telemetry.metrics.MetricsRegistry` — the old
-       sum-only attributes (``queries``, ``cache_hits``,
-       ``total_execute_seconds``, …) and :meth:`snapshot` keep working, but
-       new code should read the registry's exports
-       (``service.registry.export()`` / ``Connection.metrics()``), which
-       additionally carry latency percentiles and per-statement stats.
+    """The service's recording side of its :class:`MetricsRegistry`
+    (thread-safe): the ``record*`` methods update the registry's
+    instruments.  Read the values through the registry's exports
+    (``service.registry.export()`` / ``Connection.metrics()``).
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -172,63 +151,6 @@ class ServiceMetrics:
         self._txn_conflicts = reg.counter(
             "repro_txn_conflicts_total",
             "transaction commits aborted by first-writer-wins conflicts")
-
-    # -- legacy attribute surface (reads the registry) ------------------
-    @property
-    def queries(self) -> int:
-        return int(self._queries.value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_misses.value)
-
-    @property
-    def errors(self) -> int:
-        return int(self._errors.value)
-
-    @property
-    def statements_prepared(self) -> int:
-        return int(self._statements_prepared.value)
-
-    @property
-    def plans_reoptimized(self) -> int:
-        return int(self._plans_reoptimized.value)
-
-    @property
-    def feedback_evictions(self) -> int:
-        return int(self._feedback_evictions.value)
-
-    @property
-    def total_execute_seconds(self) -> float:
-        return self._execute.sum
-
-    @property
-    def total_prepare_seconds(self) -> float:
-        return self._prepare.sum
-
-    @property
-    def total_optimize_seconds(self) -> float:
-        return self._optimize.sum
-
-    @property
-    def txn_begins(self) -> int:
-        return int(self._txn_begins.value)
-
-    @property
-    def txn_commits(self) -> int:
-        return int(self._txn_commits.value)
-
-    @property
-    def txn_rollbacks(self) -> int:
-        return int(self._txn_rollbacks.value)
-
-    @property
-    def txn_conflicts(self) -> int:
-        return int(self._txn_conflicts.value)
 
     # -- recording ------------------------------------------------------
     def record_txn_begin(self) -> None:
@@ -272,26 +194,6 @@ class ServiceMetrics:
         if metrics.fingerprint:
             self.registry.record_statement(metrics.fingerprint,
                                            metrics.total_seconds)
-
-    def snapshot(self) -> dict[str, float]:
-        queries = self.queries
-        return {
-            "queries": queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "errors": self.errors,
-            "statements_prepared": self.statements_prepared,
-            "plans_reoptimized": self.plans_reoptimized,
-            "feedback_evictions": self.feedback_evictions,
-            "hit_rate": (self.cache_hits / queries if queries else 0.0),
-            "total_execute_seconds": self.total_execute_seconds,
-            "total_prepare_seconds": self.total_prepare_seconds,
-            "total_optimize_seconds": self.total_optimize_seconds,
-            "txn_begins": self.txn_begins,
-            "txn_commits": self.txn_commits,
-            "txn_rollbacks": self.txn_rollbacks,
-            "txn_conflicts": self.txn_conflicts,
-        }
 
 
 @dataclass
@@ -948,12 +850,8 @@ class QueryService:
         self._knowledge_size = len(self.knowledge)
 
     def create_index(self, class_name: str, prop: str, kind: str = "hash"):
-        """Create a ``hash``/``sorted``/``text`` index under the write gate.
-
-        One generic entry point (backed by :mod:`repro.datamodel.ddl`)
-        replaces the former per-kind pass-throughs; the legacy names below
-        remain as aliases.
-        """
+        """Create a ``hash``/``sorted``/``text`` index under the write gate
+        (backed by :mod:`repro.datamodel.ddl`)."""
         with self._gate.write_locked():
             return ddl.create_index(self.database, kind, class_name, prop)
 
@@ -974,29 +872,6 @@ class QueryService:
             return None
         with self._gate.write_locked():
             return storage.checkpoint()
-
-    # legacy aliases for the generic index DDL above
-    def create_hash_index(self, class_name: str, prop: str):
-        """Deprecated alias for ``create_index(..., kind="hash")``."""
-        _warn_legacy_index_ddl("create_hash_index", 'create_index(..., kind="hash")')
-        return self.create_index(class_name, prop, kind="hash")
-
-    def create_sorted_index(self, class_name: str, prop: str):
-        """Deprecated alias for ``create_index(..., kind="sorted")``."""
-        _warn_legacy_index_ddl("create_sorted_index",
-                               'create_index(..., kind="sorted")')
-        return self.create_index(class_name, prop, kind="sorted")
-
-    def create_text_index(self, class_name: str, prop: str):
-        """Deprecated alias for ``create_index(..., kind="text")``."""
-        _warn_legacy_index_ddl("create_text_index",
-                               'create_index(..., kind="text")')
-        return self.create_index(class_name, prop, kind="text")
-
-    def drop_text_index(self, class_name: str, prop: str) -> None:
-        """Deprecated alias for ``drop_index(..., text=True)``."""
-        _warn_legacy_index_ddl("drop_text_index", "drop_index(..., text=True)")
-        self.drop_index(class_name, prop, text=True)
 
     # ------------------------------------------------------------------
     # transactions (deferred-write MVCC, first-writer-wins)

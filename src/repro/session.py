@@ -25,14 +25,13 @@ from repro.optimizer.search import (
     OptimizerOptions,
 )
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import Row, execute_plan
 from repro.physical.parallel import default_parallelism
 from repro.physical.naive import naive_implementation
-from repro.physical.plans import PhysicalOperator, describe_physical_tree
+from repro.physical.plans import PhysicalOperator, Row, describe_physical_tree
 from repro.physical.profile import (ExplainReport, PlanProfile,
                                     estimated_vs_actual,
                                     render_explain_analyze)
-from repro.service.prepared import PreparedExecutable
+from repro.service.prepared import PreparedExecutable, execute_plan
 from repro.telemetry.spans import Tracer, child_span
 from repro.vql.analyzer import AnalyzedQuery, analyze_query
 from repro.vql.ast import Query

@@ -13,7 +13,6 @@ from repro.datamodel.types import INT, STRING
 from repro.errors import ExecutionError
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import evaluate
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
@@ -23,6 +22,7 @@ from repro.physical.plans import (
     IndexRangeScan,
     walk_physical,
 )
+from repro.service.prepared import BindingEnv, execute_plan
 from repro.session import Session
 from repro.vql.parser import parse_expression
 from repro.workloads import (
@@ -31,6 +31,11 @@ from repro.workloads import (
     document_workload,
     generate_document_database,
 )
+
+
+def compiler_for(database):
+    """A compiler whose bind parameters resolve from an empty environment."""
+    return ExpressionCompiler(database, BindingEnv().resolve)
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +56,7 @@ class TestExpressionCompiler:
     ])
     def test_compiled_agrees_with_interpreter(self, doc_database, text, row):
         expression = parse_expression(text)
-        compiled = ExpressionCompiler(doc_database).compile(expression)
+        compiled = compiler_for(doc_database).compile(expression)
         assert compiled(row) == evaluate(expression, row, doc_database)
 
     def test_property_and_method_access(self, doc_database):
@@ -60,18 +65,18 @@ class TestExpressionCompiler:
         for text in ("p.number", "p.content", "p->document()",
                      "(p->document()).title"):
             expression = parse_expression(text)
-            compiled = ExpressionCompiler(doc_database).compile(expression)
+            compiled = compiler_for(doc_database).compile(expression)
             assert compiled(row) == evaluate(expression, row, doc_database)
 
     def test_lifted_access_over_sets(self, doc_database):
         document = doc_database.extension("Document")[0]
         row = {"d": document}
         expression = parse_expression("d.sections.paragraphs")
-        compiled = ExpressionCompiler(doc_database).compile(expression)
+        compiled = compiler_for(doc_database).compile(expression)
         assert compiled(row) == evaluate(expression, row, doc_database)
 
     def test_constant_subexpressions_are_hoisted(self, doc_database):
-        compiled = ExpressionCompiler(doc_database).compile(
+        compiled = compiler_for(doc_database).compile(
             parse_expression("1 + 2 * 3"))
         assert compiled.constant_value == 7
         assert compiled({}) == 7
@@ -79,18 +84,18 @@ class TestExpressionCompiler:
     def test_failing_pure_expression_raises_at_evaluation(self, doc_database):
         expression = parse_expression("1 / 0")
         # Compilation must not raise; evaluation fails like the interpreter.
-        compiled = ExpressionCompiler(doc_database).compile(expression)
+        compiled = compiler_for(doc_database).compile(expression)
         with pytest.raises(ZeroDivisionError):
             compiled({})
 
     def test_membership_against_constant_collection(self, doc_database):
         expression = BinaryOp("IS-IN", Var("x"), Const([1, 2, 3]))
-        compiled = ExpressionCompiler(doc_database).compile(expression)
+        compiled = compiler_for(doc_database).compile(expression)
         assert compiled({"x": 2}) is True
         assert compiled({"x": 9}) is False
 
     def test_unbound_reference_raises(self, doc_database):
-        compiled = ExpressionCompiler(doc_database).compile(Var("missing"))
+        compiled = compiler_for(doc_database).compile(Var("missing"))
         with pytest.raises(ExecutionError):
             compiled({})
 
@@ -104,7 +109,7 @@ class TestExpressionCompiler:
         interpreted = doc_database.work_snapshot()
 
         doc_database.reset_statistics()
-        ExpressionCompiler(doc_database).compile(expression)(row)
+        compiler_for(doc_database).compile(expression)(row)
         compiled = doc_database.work_snapshot()
 
         assert compiled == interpreted

@@ -15,7 +15,6 @@ import pytest
 
 from repro import connect, open_service, open_session
 from repro.errors import VQLSyntaxError
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.plans import ParallelScan
 from repro.physical.profile import (
@@ -23,7 +22,7 @@ from repro.physical.profile import (
     estimated_vs_actual,
     render_explain_analyze,
 )
-from repro.service.prepared import prepare_plan
+from repro.service.prepared import execute_plan, prepare_plan
 from repro.vql.parser import parse_expression, parse_statement
 from repro.workloads import generate_document_database
 
@@ -150,7 +149,7 @@ class TestExplainAnalyze:
 
 
 # ----------------------------------------------------------------------
-# the profile substrate across all three engines
+# the profile substrate across both engines
 # ----------------------------------------------------------------------
 class TestProfileEngines:
     def query_plan(self, session):
@@ -181,7 +180,7 @@ class TestProfileEngines:
         session = open_session(indexed_db)
         plan = self.query_plan(session)
         assert prepare_plan(plan, indexed_db).run() == \
-            execute_plan(plan, indexed_db)
+            execute_plan_interpreted(plan, indexed_db)
 
     def test_estimated_vs_actual_records(self, indexed_db):
         session = open_session(indexed_db)

@@ -1,18 +1,16 @@
-"""Differential fuzzing: interpreter vs compiled vs parallel engines.
+"""Differential fuzzing: reference interpreter vs the production engine.
 
 A seeded random VQL query generator produces selections, method calls,
 joins and bind parameters over the document schema.  Every generated query
 is executed by
 
 * the reference **interpreter** on the naive physical plan (the oracle),
-* the **compiled** pipelined engine on the naive, the optimized sequential
-  and the optimized parallel (degree 4) plans,
-* the **prepared** executable (the service's compile-once path) on the
-  parallel plan, and
-* all three engines on a *force-parallelized* lowering of the naive plan
-  (every eligible operator replaced by its morsel-driven variant), so the
-  parallel operators are exercised even when the cost model would not pick
-  them,
+* the **production** engine (:mod:`repro.service.prepared`) on the naive,
+  the optimized sequential and the optimized parallel (degree 4) plans, and
+* both engines on the optimized parallel plan and on a *force-parallelized*
+  lowering of the naive plan (every eligible operator replaced by its
+  morsel-driven variant), so the parallel operators are exercised even when
+  the cost model would not pick them,
 
 and all results must be identical row multisets.  Seeds are fixed, so CI
 runs the same ~200 cases every time; set ``REPRO_FUZZ_CASES`` to fuzz a
@@ -30,7 +28,6 @@ import pytest
 
 from repro.algebra.translate import translate_query
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
@@ -43,7 +40,7 @@ from repro.physical.plans import (
     ParallelScan,
     PhysicalOperator,
 )
-from repro.service.prepared import prepare_plan
+from repro.service.prepared import execute_plan, prepare_plan
 from repro.session import Session
 from repro.workloads import document_knowledge, generate_document_database
 
@@ -269,33 +266,30 @@ def run_one(text: str, parameters: dict, fuzz_db, sessions) -> int:
     naive_plan = naive_implementation(translation.plan)
     oracle = multiset(execute_plan_interpreted(naive_plan, fuzz_db))
 
-    # Compiled engine on the same naive plan.
+    # Production engine on the same naive plan.
     assert multiset(execute_plan(naive_plan, fuzz_db)) == oracle, \
-        f"compiled/naive diverges: {text!r}"
+        f"production/naive diverges: {text!r}"
 
-    # Optimized sequential plan (compiled engine via the session).
+    # Optimized sequential plan (production engine via the session).
     seq_result = sequential.execute(text, parameters=parameters or None)
     assert multiset(seq_result.rows) == oracle, \
         f"optimized sequential diverges: {text!r}"
 
-    # Optimized parallel plan: compiled + prepared + interpreter oracle.
+    # Optimized parallel plan: production engine (via the session) and
+    # the interpreter.
     par_result = parallel.execute(text, parameters=parameters or None)
     assert multiset(par_result.rows) == oracle, \
         f"optimized parallel diverges: {text!r}"
     par_plan = par_result.physical_plan
     assert multiset(execute_plan_interpreted(par_plan, fuzz_db)) == oracle, \
         f"interpreter on parallel plan diverges: {text!r}"
-    assert multiset(prepare_plan(par_plan, fuzz_db).run()) == oracle, \
-        f"prepared parallel diverges: {text!r}"
 
-    # Forced parallel lowering of the naive plan, all three engines.
+    # Forced parallel lowering of the naive plan, both engines.
     forced = force_parallel(naive_plan)
     assert multiset(execute_plan_interpreted(forced, fuzz_db)) == oracle, \
         f"interpreter/forced-parallel diverges: {text!r}"
     assert multiset(execute_plan(forced, fuzz_db)) == oracle, \
-        f"compiled/forced-parallel diverges: {text!r}"
-    assert multiset(prepare_plan(forced, fuzz_db).run()) == oracle, \
-        f"prepared/forced-parallel diverges: {text!r}"
+        f"production/forced-parallel diverges: {text!r}"
     return sum(oracle.values())
 
 
@@ -352,8 +346,8 @@ def multijoin_sessions(fuzz_db):
 @pytest.mark.parametrize("seed", MULTIJOIN_SEEDS)
 def test_fuzz_multijoin_differential_batch(seed, fuzz_db, multijoin_sessions):
     """3–5-way chain and star joins (mixed property/method predicates,
-    bind parameters) stay multiset-identical across interpreter, compiled
-    and prepared engines on naive, optimized and parallel plans — the
+    bind parameters) stay multiset-identical across the interpreter and
+    the production engine on naive, optimized and parallel plans — the
     enumerator may reorder the joins, never change the rows."""
     sessions = multijoin_sessions
     generator = QueryGenerator(random.Random(seed))
@@ -612,7 +606,7 @@ def test_fuzz_mutations_interleaved_with_queries(seed):
         assert_partitions_consistent(database)
 
         # differential queries over the mutated database: interpreter vs
-        # compiled vs prepared on naive/optimized/parallel/forced plans
+        # production engine on naive/optimized/parallel/forced plans
         for _ in range(4):
             text, parameters = generator.generate()
             run_one(text, parameters, database, sessions)
@@ -941,7 +935,7 @@ def _check_recovered_equals_oracle(database, oracle: CrashOracle) -> None:
 def _query_recovered_through_all_engines(database, oracle: CrashOracle,
                                          rng: random.Random) -> None:
     """The recovered database must serve queries, identically, through the
-    interpreter, the compiled engine and the optimized parallel path."""
+    interpreter, the production engine and the optimized parallel path."""
     threshold = rng.randint(0, 100)
     text = "ACCESS a.balance FROM a IN Account WHERE a.balance >= :m"
     # ACCESS has set semantics: two accounts sharing a balance produce one
@@ -957,7 +951,7 @@ def _query_recovered_through_all_engines(database, oracle: CrashOracle,
     naive_plan = naive_implementation(translate_query(bound).plan)
     interpreted = multiset(execute_plan_interpreted(naive_plan, database))
     assert multiset(execute_plan(naive_plan, database)) == interpreted, \
-        "compiled engine diverges on the recovered database"
+        "production engine diverges on the recovered database"
     seq_result = sequential.execute(text, parameters={"m": threshold})
     assert set(seq_result.values) == expected, \
         "optimized sequential diverges from the oracle"

@@ -17,7 +17,6 @@ import pytest
 from repro.datamodel.partitions import PartitionedExtension
 from repro.errors import AlgebraError, ReproError
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.parallel import (
     default_parallelism,
@@ -34,11 +33,12 @@ from repro.physical.plans import (
     ParallelScan,
     uses_parallelism,
 )
-from repro.service.prepared import prepare_plan
+from repro.service.prepared import execute_plan, prepare_plan
 from repro.service.service import QueryService
 from repro.session import Session
 from repro.vql.parser import parse_expression
 from repro.workloads import document_knowledge, generate_document_database
+from repro.workloads.documents import TARGET_TITLE
 
 
 def multiset(rows):
@@ -259,6 +259,26 @@ class TestParallelOperators:
                                     ClassScan("q", "Paragraph"), 4)
         assert (execute_plan(sequential, small_db)
                 == execute_plan(parallel, small_db))
+
+    def test_parallel_scan_workers_read_the_pinned_snapshot(self, small_db):
+        # Morsels evaluated on pool threads must see the coordinating
+        # thread's snapshot, not the latest committed version.
+        ts = small_db.acquire_snapshot()
+        try:
+            for oid in small_db.extension("Document"):
+                small_db.update(oid, title="retitled")
+            plan = ParallelScan(
+                "d", "Document",
+                condition=parse_expression(f"d.title == '{TARGET_TITLE}'"),
+                degree=4)
+            with small_db.pin_snapshot(ts):
+                interpreted = execute_plan_interpreted(plan, small_db)
+                production = execute_plan(plan, small_db)
+                prepared = prepare_plan(plan, small_db).run()
+        finally:
+            small_db.release_snapshot(ts)
+        assert len(interpreted) == 1
+        assert production == interpreted == prepared
 
 
 # ----------------------------------------------------------------------

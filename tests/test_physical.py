@@ -10,7 +10,6 @@ from repro.algebra.operators import Get, Join, Map, Project, Select
 from repro.datamodel.oid import OID
 from repro.errors import AlgebraError, ExecutionError
 from repro.physical.evaluator import evaluate, evaluate_predicate, make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
     ClassScan,
@@ -27,6 +26,7 @@ from repro.physical.plans import (
     UnionOp,
     walk_physical,
 )
+from repro.service.prepared import execute_plan
 from repro.vql.parser import parse_expression
 from repro.workloads import TARGET_TITLE
 

@@ -27,10 +27,10 @@ from repro.datamodel.ir import InvertedTextIndex, tokenize
 from repro.datamodel.oid import OID
 from repro.optimizer.patterns import instantiate, match_expression, pattern_from_template
 from repro.physical.evaluator import evaluate, make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.physical.restricted_exec import execute_restricted
+from repro.service.prepared import execute_plan
 from repro.session import Session
 from repro.vql.parser import parse_expression
 from repro.workloads import document_knowledge, generate_document_database

@@ -23,9 +23,9 @@ from repro.algebra.restricted import (
 )
 from repro.errors import AlgebraError
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
 from repro.physical.naive import naive_implementation
 from repro.physical.restricted_exec import execute_restricted
+from repro.service.prepared import execute_plan
 from repro.vql.analyzer import analyze_query
 from repro.vql.parser import parse_query
 from repro.algebra.translate import translate_query

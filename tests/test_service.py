@@ -72,7 +72,7 @@ def test_one_cached_plan_serves_every_binding():
                                     parameters=[QUERY_TERM, title])
         assert result.value_set() == reference.value_set()
     assert len(service.cache) == 1
-    assert service.metrics.cache_hits == len(titles)
+    assert service.registry.counter("repro_plan_cache_hits_total").value == len(titles)
 
 
 def test_shape_normalization_shares_cache_entries():
@@ -255,8 +255,9 @@ def test_concurrent_execution_matches_serial_results():
     for (query, parameters), result in zip(requests, results):
         reference = session.execute(query, parameters=parameters)
         assert result.value_set() == reference.value_set()
-    assert service.metrics.queries == len(requests)
-    assert service.metrics.cache_hits >= len(requests) - 1
+    counters = service.registry.export()["counters"]
+    assert counters["repro_statements_total"] == len(requests)
+    assert counters["repro_plan_cache_hits_total"] >= len(requests) - 1
 
 
 def test_concurrent_mixed_shapes_share_the_cache():
@@ -282,12 +283,12 @@ def test_service_metrics_snapshot_accounts_for_hits_and_misses():
     service.execute(NUMBER_QUERY, [1])
     service.execute(NUMBER_QUERY, [2])
     service.execute(NUMBER_QUERY, [3])
-    snapshot = service.metrics.snapshot()
-    assert snapshot["queries"] == 3
-    assert snapshot["cache_misses"] == 1
-    assert snapshot["cache_hits"] == 2
-    assert 0.0 < snapshot["hit_rate"] < 1.0
-    assert snapshot["total_optimize_seconds"] > 0.0
+    exported = service.registry.export()
+    counters = exported["counters"]
+    assert counters["repro_statements_total"] == 3
+    assert counters["repro_plan_cache_misses_total"] == 1
+    assert counters["repro_plan_cache_hits_total"] == 2
+    assert exported["histograms"]["repro_optimize_seconds"]["sum"] > 0.0
 
 
 def test_run_query_reuses_a_cached_service_per_database():
@@ -302,8 +303,10 @@ def test_run_query_reuses_a_cached_service_per_database():
     assert first.output_ref == "p"
     service = _service_for(database, knowledge)
     assert service is _service_for(database, knowledge)
-    assert service.metrics.queries == 2
-    assert service.metrics.cache_hits == 1  # same shape, second call hit
+    counters = service.registry.export()["counters"]
+    assert counters["repro_statements_total"] == 2
+    # same shape, second call hit
+    assert counters["repro_plan_cache_hits_total"] == 1
 
     reference = fresh_session(database).execute(
         "ACCESS p FROM p IN Paragraph WHERE p.number == 3")
@@ -417,9 +420,9 @@ def test_run_concurrent_clients_execute_parallel_plans():
                 (NUMBER_QUERY, [1])] * 8
     results = service.run_concurrent(requests, workers=6)
     # 3 shapes, 24 requests: everything after the cold misses must hit
-    snapshot = service.metrics.snapshot()
-    assert snapshot["queries"] == len(requests)
-    assert snapshot["cache_hits"] >= len(requests) - 3
+    counters = service.registry.export()["counters"]
+    assert counters["repro_statements_total"] == len(requests)
+    assert counters["repro_plan_cache_hits_total"] >= len(requests) - 3
 
     assert uses_parallelism(
         service.execute(METHOD_QUERY, ["word0005"]).plan.physical_plan)
@@ -555,22 +558,23 @@ def test_feedback_corrects_and_replans_after_drift():
     service.execute("ANALYZE")
 
     first = service.execute(FEEDBACK_QUERY)
-    snapshot = service.metrics.snapshot()
-    assert snapshot["feedback_evictions"] == 0
-    assert snapshot["plans_reoptimized"] == 0
+    evictions = service.registry.counter("repro_feedback_evictions_total")
+    reoptimized = service.registry.counter("repro_plans_reoptimized_total")
+    assert evictions.value == 0
+    assert reoptimized.value == 0
 
     _drift_orders_to_urgent(database)
     # post-drift execution is profiled, detects the divergence, corrects
     second = service.execute(FEEDBACK_QUERY)
-    assert service.metrics.snapshot()["feedback_evictions"] >= 1
+    assert evictions.value >= 1
     assert database.stats_catalog.correction_count() >= 1
 
     # the correction evicted the plan: the next execution replans against
     # the observed selectivity, and the estimate now matches the actual
     third = service.execute(FEEDBACK_QUERY)
     assert not third.metrics.cache_hit
-    snapshot = service.metrics.snapshot()
-    assert snapshot["plans_reoptimized"] >= 1
+    assert reoptimized.value >= 1
+    evictions_after_replan = evictions.value
 
     actual = len(third.rows)
     estimated = third.plan.optimization.best_cost.cardinality
@@ -583,8 +587,7 @@ def test_feedback_corrects_and_replans_after_drift():
     # steady state: no oscillation, the corrected plan stays cached
     fourth = service.execute(FEEDBACK_QUERY)
     assert fourth.metrics.cache_hit
-    assert service.metrics.snapshot()["feedback_evictions"] == \
-        snapshot["feedback_evictions"]
+    assert evictions.value == evictions_after_replan
 
 
 def test_feedback_never_changes_results():
@@ -602,7 +605,7 @@ def test_feedback_never_changes_results():
     _drift_orders_to_urgent(database)
     for _ in range(3):  # spans the correct → evict → replan transitions
         assert service.execute(FEEDBACK_QUERY).value_set() == reference()
-    assert service.metrics.snapshot()["feedback_evictions"] >= 1
+    assert service.registry.counter("repro_feedback_evictions_total").value >= 1
 
 
 def test_feedback_can_be_disabled():
@@ -613,9 +616,9 @@ def test_feedback_can_be_disabled():
     _drift_orders_to_urgent(database)
     for _ in range(3):
         service.execute(FEEDBACK_QUERY)
-    snapshot = service.metrics.snapshot()
-    assert snapshot["feedback_evictions"] == 0
-    assert snapshot["plans_reoptimized"] == 0
+    counters = service.registry.export()["counters"]
+    assert counters["repro_feedback_evictions_total"] == 0
+    assert counters["repro_plans_reoptimized_total"] == 0
     assert database.stats_catalog.correction_count() == 0
 
 
@@ -626,5 +629,5 @@ def test_feedback_needs_analyzed_statistics():
     service = QueryService(database)
     for _ in range(3):
         service.execute(FEEDBACK_QUERY)
-    assert service.metrics.snapshot()["feedback_evictions"] == 0
+    assert service.registry.counter("repro_feedback_evictions_total").value == 0
     assert database.stats_catalog.correction_count() == 0

@@ -617,12 +617,13 @@ class TestConnectionCursor:
         service = QueryService(database)
         connection = connect(database, service=service)
         connection.execute("ACCESS d FROM d IN Document").fetchall()
-        snapshot = service.metrics.snapshot()
-        assert snapshot["queries"] == 1
-        assert snapshot["statements_prepared"] >= 1
+        exported = connection.metrics()
+        assert exported["counters"]["repro_statements_total"] == 1
+        assert exported["gauges"]["repro_cached_statements"] >= 1
         # a second streamed execution of the same shape counts as a hit
         connection.execute("ACCESS d FROM d IN Document").fetchall()
-        assert service.metrics.snapshot()["cache_hits"] == 1
+        assert connection.metrics()["counters"][
+            "repro_plan_cache_hits_total"] == 1
 
     def test_closed_stream_records_metrics_once(self, database):
         service = QueryService(database)
@@ -630,7 +631,7 @@ class TestConnectionCursor:
         cursor = connection.execute("ACCESS p FROM p IN Paragraph")
         cursor.fetchone()
         cursor.close()
-        assert service.metrics.snapshot()["queries"] == 1
+        assert service.registry.counter("repro_statements_total").value == 1
 
     def test_prepare_rejects_dml(self, database):
         service = QueryService(database)

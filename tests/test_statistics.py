@@ -315,7 +315,7 @@ class TestInformedCostModel:
         assert leaf(flat_plan) == "index_eq_scan"
         assert leaf(informed_plan) == "index_range_scan"
         # differential: both plans agree on the result
-        from repro.physical.executor import execute_plan
+        from repro.service.prepared import execute_plan
         assert ({r["r"] for r in execute_plan(flat_plan, database)}
                 == {r["r"] for r in execute_plan(informed_plan, database)})
 
@@ -349,23 +349,14 @@ class TestInformedCostModel:
 
 
 # ----------------------------------------------------------------------
-# deprecation of the legacy per-kind index DDL aliases
+# the per-kind index DDL aliases are removed; create_index/drop_index stay
 # ----------------------------------------------------------------------
 class TestLegacyIndexDdlDeprecation:
-    def test_service_aliases_warn_but_work(self):
-        database = skewed_database(n=10)
-        from repro import open_service
-        service = open_service(database)
-        with pytest.deprecated_call():
-            service.create_hash_index("Reading", "category")
-        with pytest.deprecated_call():
-            service.create_sorted_index("Reading", "score")
-        assert database.indexes.get("Reading", "category") is not None
-        assert database.indexes.get("Reading", "score") is not None
-        with pytest.deprecated_call():
-            service.create_text_index("Reading", "note")
-        with pytest.deprecated_call():
-            service.drop_text_index("Reading", "note")
+    def test_service_aliases_are_removed(self):
+        from repro.service.service import QueryService
+        aliases = ("create_hash_index", "create_sorted_index",
+                   "create_text_index", "drop_text_index")
+        assert [name for name in aliases if hasattr(QueryService, name)] == []
 
     def test_generic_entry_point_does_not_warn(self, recwarn):
         database = skewed_database(n=10)

@@ -117,14 +117,14 @@ def test_span_tree_feedback_replan():
     # compile) trails the lifecycle
     assert replanned.names()[:len(MISS_GOLDEN)] == MISS_GOLDEN
     assert replanned.find("optimize").attributes["replan"] is True
-    assert service.metrics.plans_reoptimized >= 1
+    assert service.registry.counter("repro_plans_reoptimized_total").value >= 1
 
 
 def test_error_statement_spans_and_counter():
     service = traced_service()
     with pytest.raises(ReproError):
         service.execute("ACCESS p FROM p IN NoSuchClass")
-    assert service.metrics.errors == 1
+    assert service.registry.counter("repro_statement_errors_total").value == 1
     (span,) = service.tracer.recent()
     assert span.status == "error"
     assert "NoSuchClass" in span.error
@@ -306,15 +306,16 @@ def test_service_metrics_facade_snapshot_keys():
     service = QueryService(fresh_database())
     service.execute(QUERY, parameters=PARAMS)
     service.execute(QUERY, parameters=PARAMS)
-    snapshot = service.metrics.snapshot()
-    assert snapshot["queries"] == 2
-    assert snapshot["cache_hits"] == 1
-    assert snapshot["cache_misses"] == 1
-    assert snapshot["errors"] == 0
-    assert snapshot["hit_rate"] == 0.5
-    assert snapshot["total_execute_seconds"] > 0.0
-    assert service.metrics.total_prepare_seconds > 0.0
+    exported = service.registry.export()
+    counters = exported["counters"]
+    assert counters["repro_statements_total"] == 2
+    assert counters["repro_plan_cache_hits_total"] == 1
+    assert counters["repro_plan_cache_misses_total"] == 1
+    assert counters["repro_statement_errors_total"] == 0
+    assert exported["histograms"]["repro_execute_seconds"]["sum"] > 0.0
+    assert exported["histograms"]["repro_prepare_seconds"]["sum"] > 0.0
     assert isinstance(service.metrics, ServiceMetrics)
+    assert service.metrics.registry is service.registry
 
 
 def test_statements_prepared_setter_is_locked():
@@ -334,7 +335,7 @@ def test_statements_prepared_setter_is_locked():
     for thread in threads:
         thread.join()
     assert not errors
-    assert metrics.statements_prepared in (0, 1, 2, 3)
+    assert metrics.registry.gauge("repro_cached_statements").value in (0, 1, 2, 3)
 
 
 def test_concurrent_histogram_counts_every_statement():
@@ -343,7 +344,7 @@ def test_concurrent_histogram_counts_every_statement():
     results = service.run_concurrent(requests, workers=6)
     assert len(results) == 24
     execute = service.registry.histogram("repro_execute_seconds").snapshot()
-    assert execute["count"] == 24 == service.metrics.queries
+    assert execute["count"] == 24 == service.registry.counter("repro_statements_total").value
     assert sum(execute["buckets"].values()) >= 24  # cumulative buckets
     top = service.registry.top_statements(1)
     assert top[0]["count"] == 24

@@ -216,8 +216,9 @@ class TestTransactions:
         authors = set(connect(database, service=service).execute(
             "ACCESS d.author FROM d IN Document").fetchall())
         assert authors == {"first winner"}
-        assert service.metrics.txn_conflicts == 1
-        assert service.metrics.txn_commits == 1
+        counters = service.registry.export()["counters"]
+        assert counters["repro_txn_conflicts_total"] == 1
+        assert counters["repro_txn_commits_total"] == 1
 
     def test_delete_by_other_transaction_conflicts(self, database):
         service = QueryService(database)
